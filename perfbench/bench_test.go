@@ -149,29 +149,79 @@ func TestCheckReproIgnoresFooter(t *testing.T) {
 	}
 }
 
-func TestQuietThirdDropsStolenWindows(t *testing.T) {
-	t0 := time.Unix(1000, 0)
+// stealTimeline is a meter whose host steals the given number of ticks, out
+// of 200, in each one-second window from t0 on, and those windows.
+func stealTimeline(t0 time.Time, stolen []int64) (*stealMeter, []window) {
 	m := &stealMeter{done: make(chan struct{})}
 	close(m.done)
-	// Six one-second windows; the host steals 0, 50%, 0, 25%, 10% and 5%.
-	steal := []int64{0, 0, 100, 100, 150, 170, 180}
-	for i, s := range steal {
-		m.samples = append(m.samples, stealSample{at: t0.Add(time.Duration(i) * time.Second), steal: s, total: int64(i) * 200})
-	}
+	var cum int64
+	m.samples = append(m.samples, stealSample{at: t0})
 	var ws []window
-	for i := 0; i < 6; i++ {
+	for i, s := range stolen {
+		cum += s
 		from := t0.Add(time.Duration(i) * time.Second)
+		m.samples = append(m.samples, stealSample{at: from.Add(time.Second), steal: cum, total: int64(i+1) * 200})
 		ws = append(ws, window{from: from, to: from.Add(time.Second)})
 	}
-	q := quietThird(ws, m)
+	return m, ws
+}
+
+func TestQuietWindowsDropStolenWindows(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	// Six windows; the host steals 0, 50%, 0, 25%, 10% and 5%.
+	m, ws := stealTimeline(t0, []int64{0, 100, 0, 50, 20, 10})
+	q := quietWindows(ws, m)
 	if len(q) != 2 || !q[0].from.Equal(t0) || !q[1].from.Equal(t0.Add(2*time.Second)) {
-		t.Errorf("quiet third is %v, want the two windows without steal", q)
+		t.Errorf("quiet windows are %v, want the two without steal", q)
 	}
-	if got := m.available(t0, t0.Add(2*time.Second)); got != 1500*time.Millisecond {
-		t.Errorf("available time over a 25%%-stolen 2s = %v, want 1.5s", got)
+	if got := m.available(t0.Add(3*time.Second), t0.Add(4*time.Second)); got != 750*time.Millisecond {
+		t.Errorf("available time over a 25%%-stolen 1s = %v, want 750ms", got)
 	}
 	// An interval past the last sample is not bracketed: no steal known.
 	if got := m.share(t0, t0.Add(10*time.Second)); got != 0 {
 		t.Errorf("unbracketed share = %v, want 0", got)
+	}
+}
+
+func TestQuietWindowsKeepTiesAcrossThePhase(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	// Nine windows, one with steal: the eight quiet ones tie and are all
+	// kept, the last one included, so a slowdown late in the phase counts.
+	m, ws := stealTimeline(t0, []int64{0, 0, 0, 0, 40, 0, 0, 0, 0})
+	q := quietWindows(ws, m)
+	if len(q) != 8 || !q[7].from.Equal(t0.Add(8*time.Second)) {
+		t.Fatalf("kept %d windows ending at %v, want 8 ending at the phase's last", len(q), q[len(q)-1].from)
+	}
+	for _, w := range q {
+		if w.from.Equal(t0.Add(4 * time.Second)) {
+			t.Error("stolen window kept")
+		}
+	}
+}
+
+func TestPooledPercentileSeesAStallInOneWindow(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	m, ws := stealTimeline(t0, []int64{0, 0, 0, 0})
+	// 250 requests per window at 1 ms; one window stalls: 60 of its
+	// requests take 50 ms. A median of per-window p99s would read 1 ms; the
+	// pooled p99 over 1000 requests reads the stall.
+	for j := range ws {
+		for i := 0; i < 250; i++ {
+			lat := time.Millisecond
+			if j == 2 && i < 60 {
+				lat = 50 * time.Millisecond
+			}
+			ws[j].res = append(ws[j].res, &result{status: statusOK, lat: lat, decided: 1})
+		}
+	}
+	res, avail := pooled(quietWindows(ws, m), m)
+	if len(res) != 1000 || avail != 4*time.Second {
+		t.Fatalf("pooled %d requests over %v, want 1000 over 4s", len(res), avail)
+	}
+	if p99, ok := latencyQuantile(res, 0.99); !ok || p99 != 50 {
+		t.Errorf("pooled p99 = %v ms (%v), want 50", p99, ok)
+	}
+	if r, ok := decisionRate(res, avail); !ok || r != 250 {
+		t.Errorf("decision rate %v, want 250/s", r)
 	}
 }

@@ -191,70 +191,74 @@ func windows(res []result, start time.Time, k int) []window {
 	return ws
 }
 
-// windowCount is how many windows of at least per requests n fills, at most
-// statWindows.
-func windowCount(n, per int) int { return min(statWindows, max(1, n/per)) }
-
-// quietThird is the third of the windows in which the host stole the least
-// CPU time.
-func quietThird(ws []window, m *stealMeter) []window {
-	ws = append([]window(nil), ws...)
-	sort.SliceStable(ws, func(i, j int) bool {
-		return m.share(ws[i].from, ws[i].to) < m.share(ws[j].from, ws[j].to)
-	})
-	return ws[:(len(ws)+2)/3]
+// quietWindows keeps the windows in which the host stole no more CPU time
+// than in the noisiest of the quietest third. Windows that tie with it are
+// kept too, in time order: on a quiet host most windows read no steal at
+// all, and the kept windows then span the whole phase.
+func quietWindows(ws []window, m *stealMeter) []window {
+	if len(ws) == 0 {
+		return nil
+	}
+	steal := make([]float64, len(ws))
+	for i, w := range ws {
+		steal[i] = m.share(w.from, w.to)
+	}
+	sorted := append([]float64(nil), steal...)
+	sort.Float64s(sorted)
+	limit := sorted[(len(sorted)+2)/3-1]
+	var kept []window
+	for i, w := range ws {
+		if steal[i] <= limit {
+			kept = append(kept, w)
+		}
+	}
+	return kept
 }
 
-// windowed is the median of f over windows, skipping windows where f has no
-// value; ok is false when none has one. f gets each window's CPU-available
-// time, its length less the share the host stole, so a rate is per second
-// the program could run.
-func windowed(ws []window, m *stealMeter, f func(w []*result, avail time.Duration) (float64, bool)) (float64, bool) {
-	var vals []float64
+// pooled merges the windows' requests into one sample and sums their
+// CPU-available time: each window's length less the share the host stole,
+// so a rate over it is per second the program could run.
+func pooled(ws []window, m *stealMeter) ([]*result, time.Duration) {
+	var res []*result
+	var avail time.Duration
 	for _, w := range ws {
-		if v, ok := f(w.res, m.available(w.from, w.to)); ok {
-			vals = append(vals, v)
-		}
+		res = append(res, w.res...)
+		avail += m.available(w.from, w.to)
 	}
-	if len(vals) == 0 {
-		return 0, false
-	}
-	return median(vals), true
+	return res, avail
 }
 
-// latencyQuantile is f for windowed: the q-quantile of a window's
-// delivered requests, charged latency.
-func latencyQuantile(q float64) func([]*result, time.Duration) (float64, bool) {
-	return func(w []*result, _ time.Duration) (float64, bool) {
-		var lat []time.Duration
-		for _, r := range w {
-			if r.status == statusOK {
-				lat = append(lat, r.lat)
-			}
+// The statistics below are taken over a pooled sample of requests.
+
+// latencyQuantile is the q-quantile of the delivered requests' charged
+// latency, in ms.
+func latencyQuantile(w []*result, q float64) (float64, bool) {
+	var lat []time.Duration
+	for _, r := range w {
+		if r.status == statusOK {
+			lat = append(lat, r.lat)
 		}
-		sortDurations(lat)
-		v, ok := percentile(lat, q)
-		return ms(v), ok
 	}
+	sortDurations(lat)
+	v, ok := percentile(lat, q)
+	return ms(v), ok
 }
 
-// requestRate is f for windowed: completed requests per second.
+// requestRate is completed requests per CPU-available second.
 func requestRate(w []*result, avail time.Duration) (float64, bool) {
 	return float64(len(w)) / avail.Seconds(), len(w) > 0
 }
 
-// goodput is f for windowed: in-budget decisions over offered decisions.
-func goodput(budget time.Duration) func([]*result, time.Duration) (float64, bool) {
-	return func(w []*result, _ time.Duration) (float64, bool) {
-		ps := &phaseStats{budget: budget}
-		for _, r := range w {
-			ps.add(r)
-		}
-		return ps.goodputShare(), ps.Offered > 0
+// goodput is in-budget decisions over offered decisions.
+func goodput(w []*result, budget time.Duration) (float64, bool) {
+	ps := &phaseStats{budget: budget}
+	for _, r := range w {
+		ps.add(r)
 	}
+	return ps.goodputShare(), ps.Offered > 0
 }
 
-// decisionRate is f for windowed: delivered decisions per second.
+// decisionRate is delivered decisions per CPU-available second.
 func decisionRate(w []*result, avail time.Duration) (float64, bool) {
 	n := 0
 	for _, r := range w {

@@ -200,10 +200,9 @@ func runServing(e *env, name string) (*report, map[string]any, error) {
 	for i := range senders {
 		senders[i] = newSender(c.base, ids, false)
 	}
-	runPhase(senders, closedItems(e.seed^0x5a5a, warmupRequests, len(ids)), sp.budget, false)
+	warmRes, _ := runPhase(senders, closedItems(e.seed^0x5a5a, warmupRequests, len(ids)), sp.budget, false)
 
-	openDur := time.Duration(float64(e.seconds) * openShare)
-	items := openSchedule(e.seed, sp.rate, openDur, len(ids))
+	items := openSchedule(e.seed, sp.rate, sp.openDuration(e.seconds), len(ids))
 	meter := startStealMeter()
 	defer meter.stop()
 	cpu0, err := procCPU(c.pid())
@@ -215,8 +214,11 @@ func runServing(e *env, name string) (*report, map[string]any, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	nClosed := int(sp.closedRate * (1 - openShare) * e.seconds.Seconds())
-	closedRes, closedStart := runPhase(senders, closedItems(e.seed, nClosed, len(ids)), sp.budget, false)
+	var closedRes []result
+	closedStart := time.Now()
+	if n := sp.closedRequests(e.seconds); n > 0 {
+		closedRes, closedStart = runPhase(senders, closedItems(e.seed, n, len(ids)), sp.budget, false)
+	}
 	closedEnd := time.Now()
 	meter.stop()
 	hwm, err := procHWM(c.pid())
@@ -230,29 +232,38 @@ func runServing(e *env, name string) (*report, map[string]any, error) {
 		return nil, nil, err
 	}
 
+	// The warm-up is checked and accounted like the phases but stays out of
+	// the metrics.
+	warm := tally("warmup", sp.budget, warmRes)
 	open, closed := tally("open", sp.budget, openRes), tally("closed", sp.budget, closedRes)
 	open.Steal = meter.share(openStart, closedStart)
 	closed.Steal = meter.share(closedStart, closedEnd)
-	emitPhases(open, closed)
-	if open.Delivered == 0 || closed.Delivered == 0 {
-		return nil, nil, fmt.Errorf("no decisions delivered (open %d, closed %d)", open.Delivered, closed.Delivered)
+	// The capacity figures come from the closed phase; a workload without
+	// one takes them from the open phase.
+	capName, capRes, capStart := "closed", closedRes, closedStart
+	if len(closedRes) == 0 {
+		capName, capRes, capStart = "open", openRes, openStart
+		emitPhases(warm, open)
+	} else {
+		emitPhases(warm, open, closed)
 	}
-	// A window must hold enough delivered requests for its percentile to
-	// have ten samples beyond it; short runs get fewer windows.
-	openW := quietThird(windows(openRes, openStart, windowCount(open.Succeeded, 100)), meter)
-	closedW := quietThird(windows(closedRes, closedStart, windowCount(closed.Succeeded, 1100)), meter)
-	p50, ok1 := windowed(openW, meter, latencyQuantile(0.50))
-	good, ok2 := windowed(openW, meter, goodput(sp.budget))
-	p99, ok3 := windowed(closedW, meter, latencyQuantile(0.99))
-	capacity, ok4 := windowed(closedW, meter, decisionRate)
-	reqRate, ok5 := windowed(closedW, meter, requestRate)
+	if open.Delivered == 0 {
+		return nil, nil, fmt.Errorf("no decisions delivered in the open phase")
+	}
+	openW, _ := pooled(quietWindows(windows(openRes, openStart, statWindows), meter), meter)
+	capW, capAvail := pooled(quietWindows(windows(capRes, capStart, statWindows), meter), meter)
+	p50, ok1 := latencyQuantile(openW, 0.50)
+	good, ok2 := goodput(openW, sp.budget)
+	p99, ok3 := latencyQuantile(capW, 0.99)
+	capacity, ok4 := decisionRate(capW, capAvail)
+	reqRate, ok5 := requestRate(capW, capAvail)
 	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 {
-		return nil, nil, fmt.Errorf("too few samples for a windowed percentile: open %d, closed %d delivered requests", open.Succeeded, closed.Succeeded)
+		return nil, nil, fmt.Errorf("too few samples in the quiet windows: open %d, %s %d requests", len(openW), capName, len(capW))
 	}
-	failed := open.Failed + closed.Failed
+	failed := warm.Failed + open.Failed + closed.Failed
 	rep := &report{
 		Correct:   failed == 0,
-		Attempted: open.Sent + closed.Sent,
+		Attempted: warm.Sent + open.Sent + closed.Sent,
 		Failed:    failed,
 		Metrics: map[string]metric{
 			"setup_s":             {median(setups), "s"},
@@ -263,7 +274,7 @@ func runServing(e *env, name string) (*report, map[string]any, error) {
 			"cpu_us_per_decision": {us(cpu1-cpu0) / float64(open.Delivered), "us"},
 			"win_rate":            {float64(open.Won+closed.Won) / float64(open.Delivered+closed.Delivered), "share"},
 			"peak_rss_mb":         {hwm, "MiB"},
-			"wall_s":              {float64(nClosed) / reqRate, "s"},
+			"wall_s":              {float64(len(capRes)) / reqRate, "s"},
 		},
 	}
 	return rep, servingProvenance(sp, qcoordd, args), nil

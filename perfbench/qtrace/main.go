@@ -1,9 +1,9 @@
 // Command qtrace is qcoordd with a span recorder around the HTTP handler.
-// It builds serve.NewServer from the same flags and defaults as cmd/qcoordd
-// and wraps ServeHTTP: every request carrying an X-Bench-Req header gets one
-// span (request id, handler start and end on the monotonic clock, as Unix
-// nanoseconds). Spans stay in memory; on SIGTERM or SIGINT the server drains
-// like qcoordd and writes them as JSON to -spans-out.
+// It builds serve.NewServer from qcoordd's defaults (package servecfg), with
+// or without -admission, and wraps ServeHTTP: every request carrying an
+// X-Bench-Req header gets one span (request id, handler start and end on the
+// monotonic clock, as Unix nanoseconds). Spans stay in memory; on SIGTERM or
+// SIGINT the server drains like qcoordd and writes them as JSON to -spans-out.
 //
 // The benchmark uses the recorded handler starts as the arrival times when it
 // replays a run's request sequence into the in-process layers.
@@ -23,8 +23,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/serve"
+	"repro/perfbench/internal/servecfg"
 )
 
 // Span is one handled request as the server saw it.
@@ -63,24 +63,10 @@ func (rec *recorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address")
-	shards := flag.Int("shards", 16, "session-store stripe width (as qcoordd)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight decisions at shutdown")
 	spansOut := flag.String("spans-out", "", "write the recorded spans as JSON to this path at shutdown")
-	admissionOn := flag.Bool("admission", false, "enable admission control (as qcoordd)")
-	admService := flag.Duration("admission-service", 50*time.Microsecond, "as qcoordd")
-	admBacklog := flag.Duration("admission-max-backlog", 50*time.Millisecond, "as qcoordd")
-	admBudget := flag.Duration("admission-default-budget", 0, "as qcoordd")
+	admissionOn := flag.Bool("admission", false, "enable admission control at qcoordd's default admission flags")
 	flag.Parse()
-
-	cfg := serve.Config{Shards: *shards}
-	if *admissionOn {
-		cfg.Admission = &admission.Config{
-			InitialService: *admService,
-			MaxBacklog:     *admBacklog,
-			DefaultBudget:  *admBudget,
-		}
-	}
-	os.Exit(run(*addr, cfg, *drainTimeout, *spansOut))
+	os.Exit(run(*addr, servecfg.Config(*admissionOn), servecfg.DrainTimeout, *spansOut))
 }
 
 func run(addr string, cfg serve.Config, drainTimeout time.Duration, spansOut string) int {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/games"
 	"repro/internal/serve"
 	"repro/internal/xrand"
+	"repro/perfbench/internal/servecfg"
 )
 
 // servingSpec is one qcoordd workload.
@@ -23,10 +24,12 @@ type servingSpec struct {
 	admission bool
 	rate      float64       // open-loop arrivals per second
 	budget    time.Duration // stamped on every decision request
-	// closedRate sizes the closed-loop phase: it sends closedRate × its
-	// share of --seconds requests, about what this workload completes in
-	// that time on a 2-core host. The count is fixed so the phase's wall
-	// time measures the same work on every commit.
+	// closedRate sizes the closed-loop phase, which takes the second half
+	// of --seconds: it sends closedRate × that half requests, about what
+	// this workload completes in that time on a 2-core host. The count is
+	// fixed so the phase's wall time measures the same work on every
+	// commit. Zero means no closed phase: the open phase takes all of
+	// --seconds.
 	closedRate float64
 }
 
@@ -35,18 +38,33 @@ var servingSpecs = map[string]servingSpec{
 	// the work.
 	"hot-pair": {sessions: 1, rate: 1000, budget: 5 * time.Millisecond, closedRate: 4500},
 	// 64 sessions, four on each of the 16 shards, admission at its default
-	// flags: every request pays a full engine catch-up.
-	"fleet": {sessions: 64, admission: true, rate: 300, budget: 20 * time.Millisecond, closedRate: 2000},
+	// flags: every request pays a full engine catch-up. No closed phase:
+	// driven back to back, admission flips between shedding every batch64
+	// and admitting runs of them, so a closed loop's decision rate swings
+	// twofold from run to run.
+	"fleet": {sessions: 64, admission: true, rate: 300, budget: 20 * time.Millisecond},
 }
 
-// Run shape: the open phase's share of --seconds (the closed phase has the
-// rest), the unmeasured warm-up, the set-up launches and the statistics
-// windows.
+// openDuration is the open-loop phase's share of a run of d.
+func (sp servingSpec) openDuration(d time.Duration) time.Duration {
+	if sp.closedRate == 0 {
+		return d
+	}
+	return d / 2
+}
+
+// closedRequests is the closed-loop phase's fixed request count in a run
+// of d.
+func (sp servingSpec) closedRequests(d time.Duration) int {
+	return int(sp.closedRate * (d - sp.openDuration(d)).Seconds())
+}
+
+// Run shape: the warm-up kept out of the metrics, the set-up launches and
+// the windows a phase is cut into for the steal filter (quietWindows).
 const (
-	openShare      = 0.5
 	warmupRequests = 500
-	setupProbes    = 14 // extra server launches measured for setup_s
-	statWindows    = 30 // a phase's statistics are taken over this many windows
+	setupProbes    = 30 // extra server launches measured for setup_s
+	statWindows    = 30 // windows per phase
 )
 
 // flags are the workload's server flags; every other flag keeps its
@@ -77,9 +95,9 @@ func fnv64a(s string) uint64 {
 var sessionTemplate = serve.SessionRequest{Game: "colocation"}
 
 // sessionRequests names the workload's sessions so they spread evenly over
-// qcoordd's 16 shards, with per-session seeds drawn from the run's seed.
+// qcoordd's shards, with per-session seeds drawn from the run's seed.
 func sessionRequests(sp servingSpec, seed uint64) []serve.SessionRequest {
-	const shards = 16
+	const shards = servecfg.Shards
 	perShard := (sp.sessions + shards - 1) / shards
 	var count [shards]int
 	seeds := xrand.Derive(seed, 3)

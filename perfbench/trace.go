@@ -17,6 +17,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/serve"
 	"repro/internal/xrand"
+	"repro/perfbench/internal/servecfg"
 )
 
 // shedReasons are admission's shed outcomes, as its metrics label them.
@@ -86,14 +87,6 @@ type span struct {
 	EndNS   int64 `json:"end_ns"`
 }
 
-// admissionConfig is qcoordd's -admission at its default flags.
-func admissionConfig(sp servingSpec) *admission.Config {
-	if !sp.admission {
-		return nil
-	}
-	return &admission.Config{InitialService: 50 * time.Microsecond, MaxBacklog: 50 * time.Millisecond}
-}
-
 // traceServing is the per-layer run of a qcoordd workload. It runs the
 // open-loop phase twice on the same schedule: on qcoordd untraced, then on
 // qtrace with client and server spans. The spans give the HTTP and
@@ -103,28 +96,32 @@ func traceServing(e *env, name string) (*report, map[string]any, error) {
 	sp := servingSpecs[name]
 	reqs := sessionRequests(sp, e.seed)
 	ids := sessionIDs(reqs)
-	openDur := time.Duration(float64(e.seconds) * openShare)
-	items := openSchedule(e.seed, sp.rate, openDur, len(ids))
+	items := openSchedule(e.seed, sp.rate, sp.openDuration(e.seconds), len(ids))
 
 	meter := startStealMeter()
 	defer meter.stop()
-	plainRes, _, plainSpan, err := tracePhase(filepath.Join(e.bin, "qcoordd"), append(qcoorddArgs(), sp.flags()...), reqs, items, e.seed, sp, false)
+	plainRun, err := tracePhase(filepath.Join(e.bin, "qcoordd"), append(qcoorddArgs(), sp.flags()...), reqs, items, e.seed, sp, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	plain := tally("open-untraced", sp.budget, plainRes)
-
 	spansPath := filepath.Join(e.scratch, "spans.json")
 	qtraceArgs := append([]string{"-addr", "127.0.0.1:0", "-spans-out", spansPath}, sp.flags()...)
-	res, live, tracedSpan, err := tracePhase(filepath.Join(e.bin, "qtrace"), qtraceArgs, reqs, items, e.seed, sp, true)
+	tracedRun, err := tracePhase(filepath.Join(e.bin, "qtrace"), qtraceArgs, reqs, items, e.seed, sp, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	traced := tally("open-traced", sp.budget, res)
 	meter.stop()
-	plain.Steal = meter.share(plainSpan[0], plainSpan[1])
-	traced.Steal = meter.share(tracedSpan[0], tracedSpan[1])
-	emitPhases(plain, traced)
+	res, live := tracedRun.res, &tracedRun.live
+	phases := []*phaseStats{
+		tally("warmup-untraced", sp.budget, plainRun.warm),
+		tally("open-untraced", sp.budget, plainRun.res),
+		tally("warmup-traced", sp.budget, tracedRun.warm),
+		tally("open-traced", sp.budget, res),
+	}
+	plain, traced := phases[1], phases[3]
+	plain.Steal = meter.share(plainRun.from, plainRun.to)
+	traced.Steal = meter.share(tracedRun.from, tracedRun.to)
+	emitPhases(phases...)
 
 	b, err := os.ReadFile(spansPath)
 	if err != nil {
@@ -194,7 +191,7 @@ func traceServing(e *env, name string) (*report, map[string]any, error) {
 			"accounting_err":  (median(transport[k]) + median(httpT[k]) - median(rt[k])) / median(rt[k]),
 			"requests_joined": float64(len(rt[k])),
 		}
-		if k != kindInfo && len(coreUS[k]) > 0 {
+		if len(coreUS[k]) > 0 {
 			c := median(coreUS[k])
 			row["core_us"] = c
 			row["codec_us"] = median(httpT[k]) - c
@@ -241,8 +238,12 @@ func traceServing(e *env, name string) (*report, map[string]any, error) {
 	emit(map[string]any{"ledger_split": split, "tracing_overhead_p50": map[string]float64{
 		"untraced_ms": ms(p50plain), "traced_ms": ms(p50traced)}})
 
-	failed := plain.Failed + traced.Failed
-	rep := &report{Correct: failed == 0, Attempted: plain.Sent + traced.Sent, Failed: failed, Metrics: l.metrics}
+	rep := &report{Metrics: l.metrics}
+	for _, ps := range phases {
+		rep.Attempted += ps.Sent
+		rep.Failed += ps.Failed
+	}
+	rep.Correct = rep.Failed == 0
 	prov := servingProvenance(sp, "qcoordd", append(qcoorddArgs(), sp.flags()...))
 	prov["traced_server"] = append([]string{"qtrace"}, qtraceArgs...)
 	return rep, prov, nil
@@ -254,53 +255,59 @@ type liveCounters struct {
 	infos         []serve.SessionInfo
 }
 
-// tracePhase launches bin, warms it up and runs the open-loop schedule,
-// returning the results and the phase's start and end. With tag it also
-// scrapes /metrics around the phase and reads every session's info before
-// stopping the server.
-func tracePhase(bin string, args []string, reqs []serve.SessionRequest, items []item, seed uint64, sp servingSpec, tag bool) ([]result, *liveCounters, [2]time.Time, error) {
-	var span [2]time.Time
+// phaseRun is one server's warm-up and open-loop phase.
+type phaseRun struct {
+	warm     []result
+	res      []result
+	live     liveCounters // traced server only
+	from, to time.Time    // the open-loop phase
+}
+
+// tracePhase launches bin, warms it up and runs the open-loop schedule.
+// With tag it also scrapes /metrics around the phase and reads every
+// session's info before stopping the server.
+func tracePhase(bin string, args []string, reqs []serve.SessionRequest, items []item, seed uint64, sp servingSpec, tag bool) (*phaseRun, error) {
 	ids := sessionIDs(reqs)
 	c, _, err := launch(bin, args, reqs)
 	if err != nil {
-		return nil, nil, span, err
+		return nil, err
 	}
 	defer c.kill()
 	senders := make([]*sender, runtime.NumCPU())
 	for i := range senders {
 		senders[i] = newSender(c.base, ids, false)
 	}
-	runPhase(senders, closedItems(seed^0x5a5a, warmupRequests, len(ids)), sp.budget, false)
-	live := &liveCounters{}
+	pr := &phaseRun{}
+	pr.warm, _ = runPhase(senders, closedItems(seed^0x5a5a, warmupRequests, len(ids)), sp.budget, false)
 	if tag {
 		for _, s := range senders {
 			s.tag = true
 		}
-		if live.before, err = scrape(c.base); err != nil {
-			return nil, nil, span, err
+		if pr.live.before, err = scrape(c.base); err != nil {
+			return nil, err
 		}
 	}
-	res, start := runPhase(senders, items, sp.budget, true)
-	span = [2]time.Time{start, time.Now()}
+	pr.res, pr.from = runPhase(senders, items, sp.budget, true)
+	pr.to = time.Now()
 	for _, s := range senders {
 		s.close()
 	}
 	if tag {
-		if live.after, err = scrape(c.base); err != nil {
-			return nil, nil, span, err
+		if pr.live.after, err = scrape(c.base); err != nil {
+			return nil, err
 		}
 		for _, id := range ids {
 			info, err := sessionInfo(c.base, id)
 			if err != nil {
-				return nil, nil, span, err
+				return nil, err
 			}
-			live.infos = append(live.infos, info)
+			pr.live.infos = append(pr.live.infos, info)
 		}
 	}
 	if _, err := c.stop(); err != nil {
-		return nil, nil, span, err
+		return nil, err
 	}
-	return res, live, span, nil
+	return pr, nil
 }
 
 // arrival is one delivered or shed request in server arrival order.
@@ -320,16 +327,18 @@ func (a *arrival) deadline() time.Time {
 	return time.Unix(0, a.res.deadline)
 }
 
-// replayServe replays the delivered decision requests into an in-process
+// replayServe replays the delivered requests into an in-process
 // serve.Server whose clock reads each request's recorded arrival, timing
-// each DecideDeadline / DecideBatchDeadline call (µs, per kind).
+// each DecideDeadline / DecideBatchDeadline / Info call (µs, per kind).
 func replayServe(sp servingSpec, reqs []serve.SessionRequest, arrivals []arrival) ([numKinds][]float64, error) {
 	var out [numKinds][]float64
 	if len(arrivals) == 0 {
 		return out, fmt.Errorf("no traced requests to replay")
 	}
-	now := time.Unix(0, arrivals[0].at).Add(-25 * time.Millisecond)
-	srv := serve.NewServer(serve.Config{Shards: 16, Admission: admissionConfig(sp), Clock: func() time.Time { return now }})
+	now := time.Unix(0, arrivals[0].at).Add(-maxAdvance)
+	cfg := servecfg.Config(sp.admission)
+	cfg.Clock = func() time.Time { return now }
+	srv := serve.NewServer(cfg)
 	defer srv.StopSessions()
 	for _, req := range reqs {
 		if _, err := srv.CreateSession(req); err != nil {
@@ -338,17 +347,20 @@ func replayServe(sp servingSpec, reqs []serve.SessionRequest, arrivals []arrival
 	}
 	resp := make([]serve.DecideResponse, batchRounds())
 	for _, a := range arrivals {
-		if a.it.kind == kindInfo || !a.delivered() {
+		if !a.delivered() {
 			continue
 		}
 		now = time.Unix(0, a.at)
 		sid := reqs[a.it.session].ID
 		t := time.Now()
 		var err error
-		if a.it.kind == kindDecide {
+		switch a.it.kind {
+		case kindDecide:
 			err = srv.DecideDeadline(sid, a.deadline(), a.it.rounds[0].X, a.it.rounds[0].Y, &resp[0])
-		} else {
+		case kindBatch:
 			err = srv.DecideBatchDeadline(sid, a.deadline(), a.it.rounds, resp)
+		default:
+			_, err = srv.Info(sid)
 		}
 		el := time.Since(t)
 		if err == nil {
@@ -360,7 +372,7 @@ func replayServe(sp servingSpec, reqs []serve.SessionRequest, arrivals []arrival
 
 // layerReplay is the replay's per-layer cost.
 type layerReplay struct {
-	catchupUS float64 // netsim.Engine.RunUntil per decision request
+	catchupUS float64 // netsim.Engine.RunUntil per request that advances the engine
 	roundNS   float64 // core.Session.Round per round
 	admitNS   float64 // admission.Controller.Admit per request
 }
@@ -374,8 +386,13 @@ type replica struct {
 	lastWall int64
 }
 
-// maxAdvance is serve's per-request cap on simulated catch-up.
-const maxAdvance = 25 * time.Millisecond
+// maxAdvance is serve's per-request cap on simulated catch-up, and
+// infoAdvanceTick the least wall time since the last advance for which an
+// info poll advances the session (internal/serve's session.info).
+const (
+	maxAdvance      = 25 * time.Millisecond
+	infoAdvanceTick = time.Millisecond
+)
 
 func newReplica(req serve.SessionRequest, first int64) (*replica, error) {
 	engine := netsim.NewEngine()
@@ -397,26 +414,26 @@ func newReplica(req serve.SessionRequest, first int64) (*replica, error) {
 	return &replica{engine: engine, core: cs, lastWall: first - int64(maxAdvance)}, nil
 }
 
-// replayLayers replays the delivered decision requests, in arrival order,
-// into per-session engine+pool+service chains and core sessions (timing
-// RunUntil and Round apart), and every decision request, shed ones too, into
-// an admission controller fed with the live handler times.
+// replayLayers replays the delivered requests, in arrival order, into
+// per-session engine+pool+service chains and core sessions (timing RunUntil
+// and Round apart), and every decision request, shed ones too, into an
+// admission controller fed with the live handler times. Like the live
+// session, a replica advances on every decision request and on an info
+// poll once infoAdvanceTick has passed since its last advance.
 func replayLayers(sp servingSpec, reqs []serve.SessionRequest, arrivals []arrival) layerReplay {
 	reps := map[int]*replica{}
 	var catchup, rounds time.Duration
-	var nReq, nRounds int
+	var nAdvance, nRounds int
 	var ctl *admission.Controller
-	if cfg := admissionConfig(sp); cfg != nil {
-		ctl = admission.NewController(*cfg, 16)
+	if sp.admission {
+		ctl = admission.NewController(*servecfg.Admission(), servecfg.Shards)
 	}
 	var admitT time.Duration
 	var nAdmit int
 	for _, a := range arrivals {
-		if a.it.kind == kindInfo {
-			continue
-		}
-		if ctl != nil {
-			shard := int(fnv64a(reqs[a.it.session].ID) % 16)
+		info := a.it.kind == kindInfo
+		if ctl != nil && !info {
+			shard := int(fnv64a(reqs[a.it.session].ID) % servecfg.Shards)
 			t := time.Now()
 			dec := ctl.Admit(shard, time.Unix(0, a.at), a.deadline(), admission.PriorityNormal, len(a.it.rounds))
 			admitT += time.Since(t)
@@ -436,14 +453,17 @@ func replayLayers(sp servingSpec, reqs []serve.SessionRequest, arrivals []arriva
 			}
 			reps[a.it.session] = r
 		}
-		if delta := time.Duration(a.at - r.lastWall); delta > 0 {
+		if delta := time.Duration(a.at - r.lastWall); delta > 0 && (!info || delta >= infoAdvanceTick) {
 			r.lastWall = a.at
 			r.simNow += min(delta, maxAdvance)
 			t := time.Now()
 			r.engine.RunUntil(r.simNow)
 			catchup += time.Since(t)
+			nAdvance++
 		}
-		nReq++
+		if info {
+			continue
+		}
 		t := time.Now()
 		for _, rd := range a.it.rounds {
 			r.core.Round(r.simNow, rd.X, rd.Y)
@@ -452,8 +472,10 @@ func replayLayers(sp servingSpec, reqs []serve.SessionRequest, arrivals []arriva
 		nRounds += len(a.it.rounds)
 	}
 	var lr layerReplay
-	if nReq > 0 {
-		lr.catchupUS = us(catchup) / float64(nReq)
+	if nAdvance > 0 {
+		lr.catchupUS = us(catchup) / float64(nAdvance)
+	}
+	if nRounds > 0 {
 		lr.roundNS = float64(rounds) / float64(nRounds)
 	}
 	if nAdmit > 0 {
